@@ -138,8 +138,10 @@ impl BitFrontier {
 
     /// Scan phase: walks the shard's edge-set tiles in row-major order.
     /// Local destinations accumulate into `next`; remote destinations
-    /// are handed to `remote` as `(global_dst, lane_mask)` — the
-    /// engine coalesces them per owner into the remote task buffer.
+    /// are handed to `remote` as `(global_dst, lane_mask)`, once per
+    /// remote edge. The engine ORs them into its dense outbox, one row
+    /// per remote vertex, and at the end of the scan sends each owner
+    /// one vertex-sorted batch with a single mask per destination.
     ///
     /// When a [`DeltaOverlay`] is present the scan consults it
     /// alongside the base edge-sets: base neighbours whose edge the

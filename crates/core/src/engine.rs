@@ -18,11 +18,24 @@
 //! Every run spins a [`Cluster`] of `p` machine threads; shards are
 //! shared immutably, all mutable state is thread-local, and traffic is
 //! exchanged through the inbox/outbox fabric of Fig. 4/5.
+//!
+//! On the bit-frontier path each machine's remote task buffer is a
+//! dense outbox allocated once per batch beside its `BitFrontier`: a
+//! lane matrix with one row per remote vertex plus the list of rows
+//! touched this superstep. The scan ORs every remote edge's lane mask
+//! into its destination's row, with no hashing. One exchange step,
+//! shared by the plain and the recoverable worker, then drains the
+//! touched rows in sorted order and splits them at the partition
+//! boundaries, so every peer receives at most one vertex-sorted
+//! message per superstep and the send order is deterministic. The
+//! step applies the optional prune plan, appends the batch to the
+//! recovery log when there is one, and sends it.
 
 use crate::bitfrontier::BitFrontier;
 use crate::config::{EngineConfig, UpdateMode};
 use crate::gas::Gas;
 use crate::index_api::PrunePlan;
+use crate::outbox::Outbox;
 use crate::partition::RangePartition;
 use crate::pcm::{PartitionCtx, PartitionProgram};
 use crate::recovery::{PartitionSnapshot, RecoveryConfig, RecoveryReport, RecoveryStore};
@@ -34,7 +47,6 @@ use cgraph_comm::{Cluster, ClusterError, CommHandle, MachineObs, PersistentClust
 use cgraph_graph::delta::{DeltaOverlay, EdgeUpdate};
 use cgraph_graph::{Edge, EdgeList, LaneMask, LaneWidth, VertexId, MAX_LANES};
 use cgraph_obs::{log2_edges, Counter, Histogram, TraceCtx, Tracer, COORD};
-use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -893,8 +905,7 @@ impl DistributedEngine {
             let mut per_level_local: Vec<Vec<u64>> = Vec::new();
             let mut lane_completion = vec![Duration::ZERO; lanes];
             let mut completed = LaneMask::zero(width); // lanes recorded complete
-            let mut outbox: Vec<HashMap<u64, LaneMask>> =
-                (0..h.num_machines()).map(|_| HashMap::new()).collect();
+            let mut outbox = Outbox::new(self.num_vertices(), shard.local_range(), width);
             let cpu0 = cgraph_comm::thread_cpu_time();
             let mut hop: u32 = 0;
             let mut supersteps = 0u32;
@@ -910,47 +921,10 @@ impl DistributedEngine {
                 }
                 bf.mask_frontier(&budget_mask(hop));
 
-                scans += bf.scan(shard, delta, |t, w| {
-                    let owner = self.partition.owner(t);
-                    outbox[owner].entry(t).or_insert_with(|| LaneMask::zero(width)).or_assign(w);
-                });
-                // Deliveries emitted during the scan of `hop` land at
-                // BFS level `hop + 1`: mask each partition's buffer
-                // against the plan's keep set for that level.
-                let keep_masks = prune.map(|p| p.keep_masks(hop + 1, width));
-                for (m, buf) in outbox.iter_mut().enumerate() {
-                    if buf.is_empty() {
-                        continue;
-                    }
-                    let batch: Vec<(u64, LaneMask)> = match &keep_masks {
-                        Some(keep) => {
-                            let before = buf.len();
-                            let kept: Vec<(u64, LaneMask)> = buf
-                                .drain()
-                                .filter_map(|(t, w)| {
-                                    let w = w.and(&keep[m]);
-                                    (!w.is_zero()).then_some((t, w))
-                                })
-                                .collect();
-                            let dropped = (before - kept.len()) as u64;
-                            if dropped > 0 {
-                                pruned_sends += dropped;
-                                if kept.is_empty() {
-                                    pruned_partitions += 1;
-                                }
-                                if m != h.id() {
-                                    let bytes = dropped * (8 + 8 * width.words() as u64);
-                                    h.note_suppressed(u64::from(kept.is_empty()), bytes);
-                                }
-                            }
-                            kept
-                        }
-                        None => buf.drain().collect(),
-                    };
-                    if !batch.is_empty() {
-                        h.send(m, EngineMsg::Frontier(batch));
-                    }
-                }
+                scans += bf.scan(shard, delta, |t, w| outbox.push(t, w));
+                let (sends, partitions) = self.exchange(&mut outbox, hop, prune, None, &h);
+                pruned_sends += sends;
+                pruned_partitions += partitions;
                 h.barrier();
                 for env in h.drain() {
                     if let EngineMsg::Frontier(batch) = env.payload {
@@ -1008,6 +982,54 @@ impl DistributedEngine {
                 pruned_partitions,
             }
         }
+    }
+
+    /// The exchange step of superstep `hop`, shared by both batch
+    /// workers: drains the outbox (vertex-sorted, one batch per
+    /// destination, in machine order), masks each batch with the prune
+    /// plan's keep set, logs what survives when a recovery store is
+    /// given, and sends it. Returns the pruned `(sends, partitions)`.
+    ///
+    /// Deliveries emitted by the scan of `hop` land at BFS level
+    /// `hop + 1`, so that is the level the keep sets are taken at.
+    /// Pruning runs *before* logging so a replay re-absorbs exactly
+    /// what the original execution delivered (suppressed deliveries
+    /// were state no-ops and are never re-created), and logging runs
+    /// before sending so the log covers anything a replay could need.
+    fn exchange(
+        &self,
+        outbox: &mut Outbox,
+        hop: u32,
+        prune: Option<&PrunePlan>,
+        log: Option<&RecoveryStore>,
+        h: &CommHandle<EngineMsg>,
+    ) -> (u64, u64) {
+        let width = outbox.width();
+        let keep_masks = prune.map(|p| p.keep_masks(hop + 1, width));
+        let (mut pruned_sends, mut pruned_partitions) = (0u64, 0u64);
+        outbox.drain(&self.partition, |m, mut batch| {
+            if let Some(keep) = &keep_masks {
+                let before = batch.len();
+                batch.retain_mut(|(_, w)| {
+                    *w = w.and(&keep[m]);
+                    !w.is_zero()
+                });
+                let dropped = (before - batch.len()) as u64;
+                if dropped > 0 {
+                    pruned_sends += dropped;
+                    pruned_partitions += u64::from(batch.is_empty());
+                    let bytes = dropped * (8 + 8 * width.words() as u64);
+                    h.note_suppressed(u64::from(batch.is_empty()), bytes);
+                }
+            }
+            if !batch.is_empty() {
+                if let Some(store) = log {
+                    store.log_merge(h.id(), hop, m, &batch);
+                }
+                h.send(m, EngineMsg::Frontier(batch));
+            }
+        });
+        (pruned_sends, pruned_partitions)
     }
 
     /// Merges per-machine batch outputs into the global [`BatchResult`].
@@ -1498,8 +1520,7 @@ impl DistributedEngine {
                 busy,
             }
         };
-        let mut outbox: Vec<HashMap<u64, LaneMask>> =
-            (0..h.num_machines()).map(|_| HashMap::new()).collect();
+        let mut outbox = Outbox::new(self.num_vertices(), shard.local_range(), width);
         // Scan work this attempt only (a resume does not re-count the
         // scans its snapshot's supersteps already performed).
         let mut scans = 0u64;
@@ -1532,50 +1553,10 @@ impl DistributedEngine {
                 w.superstep_enter(hop);
             }
             bf.mask_frontier(&budget_mask(hop));
-            scans += bf.scan(shard, delta, |t, w| {
-                let owner = self.partition.owner(t);
-                outbox[owner].entry(t).or_insert_with(|| LaneMask::zero(width)).or_assign(w);
-            });
-            // Prune *before* logging so a replay re-absorbs exactly
-            // what the original execution delivered (suppressed
-            // deliveries were state no-ops and are never re-created).
-            let keep_masks = prune.map(|p| p.keep_masks(hop + 1, width));
-            for (m, buf) in outbox.iter_mut().enumerate() {
-                if buf.is_empty() {
-                    continue;
-                }
-                let batch: Vec<(u64, LaneMask)> = match &keep_masks {
-                    Some(keep) => {
-                        let before = buf.len();
-                        let kept: Vec<(u64, LaneMask)> = buf
-                            .drain()
-                            .filter_map(|(t, w)| {
-                                let w = w.and(&keep[m]);
-                                (!w.is_zero()).then_some((t, w))
-                            })
-                            .collect();
-                        let dropped = (before - kept.len()) as u64;
-                        if dropped > 0 {
-                            pruned_sends += dropped;
-                            if kept.is_empty() {
-                                pruned_partitions += 1;
-                            }
-                            if m != h.id() {
-                                let bytes = dropped * (8 + 8 * width.words() as u64);
-                                h.note_suppressed(u64::from(kept.is_empty()), bytes);
-                            }
-                        }
-                        kept
-                    }
-                    None => buf.drain().collect(),
-                };
-                if !batch.is_empty() {
-                    // Log before sending: the log must cover anything a
-                    // replay could need to re-deliver.
-                    store.log_merge(h.id(), hop, m, &batch);
-                    h.send(m, EngineMsg::Frontier(batch));
-                }
-            }
+            scans += bf.scan(shard, delta, |t, w| outbox.push(t, w));
+            let (sends, partitions) = self.exchange(&mut outbox, hop, prune, Some(store), &h);
+            pruned_sends += sends;
+            pruned_partitions += partitions;
             if h.try_barrier().is_err() {
                 // A peer died during this superstep. Our frontier and
                 // visited words still hold boundary `hop` (advance has

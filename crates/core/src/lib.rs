@@ -47,6 +47,7 @@ pub mod engine;
 pub mod gas;
 pub mod index_api;
 pub mod metrics;
+mod outbox;
 pub mod partition;
 pub mod pcm;
 pub mod query;

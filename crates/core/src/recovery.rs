@@ -16,10 +16,11 @@
 //! The `RecoveryStore` (crate-private) is the shared blackboard:
 //! committed checkpoints (uniform across machines, gated on a
 //! drop-free job),
-//! poison-time saves from healthy machines, per-sender message logs
-//! keyed `(superstep, dest)` with OR-merged payloads (idempotent under
-//! resend, which resumption requires), and the per-boundary global
-//! live-lane masks that replay needs for completion bookkeeping.
+//! poison-time saves from healthy machines, per-sender append-only
+//! message logs keyed `(superstep, dest)` whose entries are OR-merged
+//! per vertex when read back (so a resend is idempotent, which
+//! resumption requires), and the per-boundary global live-lane masks
+//! that replay needs for completion bookkeeping.
 //!
 //! When confined recovery's preconditions fail — messages were
 //! dropped (logs record *intent*, not delivery), saves are missing, or
@@ -127,9 +128,9 @@ pub(crate) struct PartitionSnapshot {
     pub busy: Duration,
 }
 
-/// One sender's message log: `(superstep, dest machine)` to the
-/// OR-merged `dst vertex -> lane mask` payload of that superstep.
-type SenderLog = HashMap<(u32, usize), HashMap<u64, LaneMask>>;
+/// One sender's message log: `(superstep, dest machine)` to every
+/// `(dst vertex, lane mask)` entry sent that superstep, in send order.
+type SenderLog = HashMap<(u32, usize), Vec<(u64, LaneMask)>>;
 
 /// Shared recovery blackboard for one batch execution (all attempts).
 pub(crate) struct RecoveryStore {
@@ -142,9 +143,10 @@ pub(crate) struct RecoveryStore {
     /// Poison-time saves: a healthy machine that notices a dead peer
     /// at a barrier parks its boundary state here and returns.
     saved: Vec<Mutex<Option<PartitionSnapshot>>>,
-    /// Per-sender message logs: `(superstep, dest) -> (dst vertex ->
-    /// lane mask)`. OR-merged so a resumed machine re-logging the same
-    /// superstep is idempotent.
+    /// Per-sender message logs: `(superstep, dest) -> [(dst vertex,
+    /// lane mask)]`, appended to on the hot path and OR-merged per
+    /// vertex only when recovery reads them, so a resumed machine
+    /// re-logging the same superstep is idempotent.
     logs: Vec<Mutex<SenderLog>>,
     /// Global live-lane mask agreed at each boundary (all machines
     /// write the identical post-reduce value).
@@ -203,8 +205,9 @@ impl RecoveryStore {
         self.saved[id].lock().take()
     }
 
-    /// OR-merges machine `from`'s outgoing messages for `superstep`
-    /// into its log (idempotent under resend).
+    /// Appends machine `from`'s outgoing messages for `superstep` to
+    /// its log. A resend appends again; [`RecoveryStore::logged_to`]
+    /// merges the copies, so logging is idempotent under resend.
     pub(crate) fn log_merge(
         &self,
         from: usize,
@@ -212,20 +215,29 @@ impl RecoveryStore {
         dest: usize,
         batch: &[(u64, LaneMask)],
     ) {
-        let mut log = self.logs[from].lock();
-        let entry = log.entry((superstep, dest)).or_default();
-        for &(v, w) in batch {
-            entry.entry(v).and_modify(|m| m.or_assign(&w)).or_insert(w);
-        }
+        self.logs[from].lock().entry((superstep, dest)).or_default().extend_from_slice(batch);
     }
 
-    /// Every message any machine logged to `dest` during `superstep`.
+    /// Every message any machine logged to `dest` during `superstep`:
+    /// per sender, one entry per destination vertex, the OR of every
+    /// mask that sender logged for it (sorted by vertex).
     pub(crate) fn logged_to(&self, dest: usize, superstep: u32) -> Vec<(u64, LaneMask)> {
         let mut out = Vec::new();
         for log in &self.logs {
-            if let Some(batch) = log.lock().get(&(superstep, dest)) {
-                out.extend(batch.iter().map(|(&v, &w)| (v, w)));
-            }
+            let Some(mut entries) = log.lock().get(&(superstep, dest)).cloned() else {
+                continue;
+            };
+            // A single logged batch arrives sorted, so this run-detecting
+            // sort is one linear pass in the common case.
+            entries.sort_by_key(|&(v, _)| v);
+            entries.dedup_by(|later, kept| {
+                let same = later.0 == kept.0;
+                if same {
+                    kept.1.or_assign(&later.1);
+                }
+                same
+            });
+            out.extend(entries);
         }
         out
     }
