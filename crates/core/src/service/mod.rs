@@ -13,15 +13,17 @@
 //!   queue is full, so an overloaded service slows producers instead
 //!   of growing without bound;
 //! * a **dispatcher thread** packs queued traversals into bit-frontier
-//!   batches with a *fill-or-deadline* policy — a batch goes out as
+//!   batches with a *fill-or-deadline* policy — a batch is *due* as
 //!   soon as [`QueryService::effective_lanes`] traversals are waiting,
 //!   or when the oldest admitted traversal has waited
-//!   [`ServiceConfig::max_batch_delay`], whichever comes first. The
-//!   lane width honours [`SchedulerConfig::memory_budget_bytes`]
-//!   exactly like the closed-batch scheduler;
+//!   [`ServiceConfig::max_batch_delay`], whichever comes first. A due
+//!   batch is formed only when the cluster is free, from everything
+//!   queued by then, up to `effective_lanes` traversals. The lane
+//!   width honours [`SchedulerConfig::memory_budget_bytes`] exactly
+//!   like the closed-batch scheduler;
 //! * batches execute on a long-lived
 //!   [`cgraph_comm::PersistentCluster`] via
-//!   [`DistributedEngine::run_traversal_batch_on`], so no machine
+//!   [`DistributedEngine::run_traversal_batch_recoverable`], so no machine
 //!   threads are spawned per batch — the serving path amortises thread
 //!   start-up across the whole stream;
 //! * per-query latency — admission wait plus batch execution — flows
@@ -82,14 +84,14 @@
 //! ([`cgraph_graph::UpdateBatch`]) without touching the serving
 //! snapshot; [`QueryService::commit_epoch`] — or crossing
 //! [`MutationConfig::commit_threshold`] — asks the dispatcher to fold
-//! them in **between batches**: batch formation is naturally quiesced
-//! (the dispatcher is single-threaded), the buffered updates become a
-//! new engine snapshot via [`DistributedEngine::with_updates`]
-//! (delta-overlay publish, or a full CSR/CSC fold past
-//! [`MutationConfig::fold_threshold`]), the graph epoch advances, and
-//! stale cache entries are fenced with
+//! them in **between batches**: batch formation and execution are
+//! quiesced (both run under the shared exec lock), the buffered
+//! updates become a new engine snapshot via
+//! [`DistributedEngine::with_updates`] (delta-overlay publish, or a
+//! full CSR/CSC fold past [`MutationConfig::fold_threshold`]), the
+//! graph epoch advances, and stale cache entries are fenced with
 //! [`cgraph_cache::ResultCache::invalidate_before`]. Batches already
-//! dispatched finish against their admission-epoch snapshot — every
+//! dispatched finish against the snapshot they were formed at — every
 //! [`QueryResult::epoch`] names the snapshot that produced it. There
 //! is exactly one epoch-advancement path:
 //! [`QueryService::invalidate_cache`] is a commit with no pending
@@ -277,7 +279,10 @@ pub struct ServiceConfig {
     /// latency is inherently wall clock.)
     pub scheduler: SchedulerConfig,
     /// How long the oldest admitted traversal may wait before a
-    /// partially-filled batch is flushed anyway. Trades per-query
+    /// partially-filled batch is due anyway. A due batch is formed when
+    /// the cluster is free, from everything queued by then (up to
+    /// [`QueryService::effective_lanes`]), so a busy cluster fills
+    /// batches past what arrived within one delay. Trades per-query
     /// latency against batch fill (throughput).
     pub max_batch_delay: Duration,
     /// Admission-queue depth, in traversals, above which submitters
@@ -337,16 +342,9 @@ pub struct ServiceConfig {
     /// coordinator ring. `None` (the default) runs unobserved at zero
     /// cost.
     pub obs: Option<Arc<Obs>>,
-    /// Fault-injection seam predating the chaos plane: called with the
-    /// machine id at the start of every machine's share of every
-    /// batch. When set, batches run on the legacy non-recoverable path
-    /// (no checkpoints, no retries).
-    #[deprecated(since = "0.2.0", note = "use `fault_plan` (a deterministic FaultPlan) instead")]
-    pub fault_hook: Option<Arc<dyn Fn(usize) + Send + Sync>>,
 }
 
 impl Default for ServiceConfig {
-    #[allow(deprecated)]
     fn default() -> Self {
         Self {
             scheduler: SchedulerConfig::default(),
@@ -363,13 +361,11 @@ impl Default for ServiceConfig {
             recovery: RecoveryConfig::default(),
             degrade_after: None,
             obs: None,
-            fault_hook: None,
         }
     }
 }
 
 impl fmt::Debug for ServiceConfig {
-    #[allow(deprecated)]
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("ServiceConfig")
             .field("scheduler", &self.scheduler)
@@ -386,7 +382,6 @@ impl fmt::Debug for ServiceConfig {
             .field("recovery", &self.recovery)
             .field("degrade_after", &self.degrade_after)
             .field("obs", &self.obs.is_some())
-            .field("fault_hook", &self.fault_hook.is_some())
             .finish()
     }
 }
@@ -745,9 +740,11 @@ impl QueryService {
     ///    lands, the epoch fence keeps the old index from answering
     ///    or pruning anything.
     ///
-    /// Batches already dispatched finish against their admission-epoch
-    /// snapshot and carry that epoch in their results. On a shut-down
-    /// service the epoch is frozen and returned unchanged.
+    /// Batches already dispatched finish against the snapshot they
+    /// were formed at and carry that epoch in their results; a batch
+    /// still waiting for the cluster forms after the commit, at the new
+    /// epoch. On a shut-down service the epoch is frozen and returned
+    /// unchanged.
     pub fn invalidate_cache(&self) -> u64 {
         self.commit_epoch().unwrap_or_else(|_| self.graph_epoch())
     }
@@ -859,7 +856,6 @@ mod tests {
     use super::*;
     use crate::engine::EngineError;
     use crate::scheduler::QueryScheduler;
-    use std::sync::atomic::AtomicBool;
 
     fn ring_engine(n: u64, p: usize) -> Arc<DistributedEngine> {
         let g: EdgeList = (0..n).map(|v| (v, (v + 1) % n)).collect();
@@ -1465,21 +1461,16 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)]
-    fn fault_hook_fails_batch_but_service_survives() {
+    fn crash_plan_fails_batch_but_service_survives() {
+        // A crash armed for job 0 only, with neither in-batch recovery
+        // nor a service retry to absorb it: the first batch fails, the
+        // persistent cluster survives it.
         let engine = ring_engine(40, 2);
-        let blow_once = Arc::new(AtomicBool::new(true));
-        let hook = {
-            let blow_once = Arc::clone(&blow_once);
-            Arc::new(move |machine: usize| {
-                if machine == 1 && blow_once.swap(false, Ordering::SeqCst) {
-                    panic!("injected machine fault");
-                }
-            })
-        };
         let config = ServiceConfig {
             max_batch_delay: Duration::from_micros(100),
-            fault_hook: Some(hook),
+            fault_plan: Some(FaultPlan::new(1).crash(1, 1).arm_jobs(0..1)),
+            max_retries: 0,
+            recovery: RecoveryConfig { checkpoint_interval: 2, max_recoveries: 0 },
             ..Default::default()
         };
         let service = QueryService::start(engine, config);
@@ -1487,17 +1478,109 @@ mod tests {
         let err = service.query(KhopQuery::single(0, 0, 3)).unwrap_err();
         match err {
             ServiceError::BatchFailed(msg) => {
-                assert!(msg.contains("injected machine fault"), "{msg}")
+                assert!(msg.contains("crashed at superstep 1") || msg.contains("poisoned"), "{msg}")
             }
             other => panic!("expected BatchFailed, got {other:?}"),
         }
-        // The hook disarmed itself: the very next query succeeds on the
-        // same (surviving) persistent cluster.
+        // Job 1 is outside the armed window: the very next query
+        // succeeds on the same (surviving) persistent cluster.
         let ok = service.query(KhopQuery::single(1, 0, 3)).unwrap();
         assert_eq!(ok.visited, 4);
         let stats = service.stats();
         assert_eq!(stats.queries_failed, 1);
         assert_eq!(stats.queries_completed, 1);
+        service.shutdown();
+    }
+
+    /// A 64-vertex ring with chords `v → 3v + 1`, plus `extra` edges,
+    /// on 2 machines: small, but sources differ in what k hops reach.
+    fn chorded_engine(extra: &[(u64, u64)]) -> DistributedEngine {
+        let mut g: EdgeList =
+            (0..64u64).flat_map(|v| [(v, (v + 1) % 64), (v, (3 * v + 1) % 64)]).collect();
+        for &(s, d) in extra {
+            g.push_pair(s, d);
+        }
+        DistributedEngine::new(&g, EngineConfig::new(2))
+    }
+
+    fn submit_3hop(service: &QueryService, sources: &[u64]) -> Vec<QueryTicket> {
+        sources
+            .iter()
+            .map(|&s| service.submit(KhopQuery::single(s as usize, s, 3)).unwrap())
+            .collect()
+    }
+
+    /// Waits for `tickets` (3-hop queries from `sources`) and asserts
+    /// each answer equals its lane of one closed batch on `oracle`.
+    fn assert_match_closed_batch(
+        oracle: &DistributedEngine,
+        sources: &[u64],
+        tickets: Vec<QueryTicket>,
+    ) -> Vec<QueryResult> {
+        let expected = oracle.run_traversal_batch(sources, &vec![3; sources.len()]).unwrap();
+        let results: Vec<QueryResult> = tickets.into_iter().map(|t| t.wait().unwrap()).collect();
+        for (lane, r) in results.iter().enumerate() {
+            let mut levels: Vec<u64> = expected.per_level.iter().map(|row| row[lane]).collect();
+            while levels.last() == Some(&0) {
+                levels.pop();
+            }
+            let want = (expected.per_lane_visited[lane], &levels);
+            assert_eq!((r.visited, &r.per_level), want, "source {}", sources[lane]);
+        }
+        results
+    }
+
+    #[test]
+    fn late_binding_fills_one_batch_from_both_waves() {
+        // While the cluster is busy (the test holds the exec lock), a
+        // due batch must not freeze at the size it had when it fell
+        // due: traversals admitted after the delay elapsed ride in the
+        // same batch once the cluster frees up. The sleep only lets the
+        // first wave fall due; no interleaving can split the waves,
+        // since nothing forms a batch without the exec lock.
+        let engine = Arc::new(chorded_engine(&[]));
+        let service = QueryService::start(Arc::clone(&engine), ServiceConfig::default());
+        assert!(service.effective_lanes() >= 16);
+        let sources: Vec<u64> = (0..16).map(|i| i * 4 + 1).collect();
+        let exec = lock(&service.core.exec);
+        let mut tickets = submit_3hop(&service, &sources[..8]);
+        std::thread::sleep(Duration::from_millis(50)); // 25 × max_batch_delay
+        tickets.extend(submit_3hop(&service, &sources[8..]));
+        drop(exec);
+        assert_match_closed_batch(&engine, &sources, tickets);
+        let stats = service.stats();
+        assert_eq!(stats.batches_dispatched, 1, "both waves must share one batch");
+        assert_eq!(stats.queries_completed, 16);
+        service.shutdown();
+    }
+
+    #[test]
+    fn late_binding_runs_due_commit_before_waiting_batch() {
+        // A commit requested while a due batch waits for the cluster
+        // lands first; the batch then forms, runs and answers at the
+        // new epoch. The exec lock is released only once the request
+        // is visible, so the order does not depend on the sleep.
+        let service = QueryService::start(Arc::new(chorded_engine(&[])), ServiceConfig::default());
+        let mut batch = UpdateBatch::new();
+        batch.insert(1, 40).insert(5, 50);
+        service.apply_updates(batch).unwrap();
+        let sources = [1u64, 5, 9];
+        let exec = lock(&service.core.exec);
+        let tickets = submit_3hop(&service, &sources);
+        std::thread::sleep(Duration::from_millis(50));
+        let epoch = std::thread::scope(|scope| {
+            let commit = scope.spawn(|| service.commit_epoch().unwrap());
+            while !lock(&service.core.pending).requested {
+                std::thread::yield_now();
+            }
+            drop(exec);
+            commit.join().unwrap()
+        });
+        assert_eq!(epoch, 1);
+        let rebuilt = chorded_engine(&[(1, 40), (5, 50)]);
+        let results = assert_match_closed_batch(&rebuilt, &sources, tickets);
+        assert!(results.iter().all(|r| r.epoch == 1), "the batch must run after the commit");
+        assert_eq!(service.stats().batches_dispatched, 1);
         service.shutdown();
     }
 

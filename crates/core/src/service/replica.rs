@@ -6,11 +6,12 @@
 //! snapshot chain, the persistent cluster, the mutation buffer, the
 //! durability plane, the epoch — lives in the
 //! [`SharedCore`](super::shared::SharedCore) it is attached to.
-//! Replicas serialise on the core's exec lock only for the cluster
-//! round-trip itself; admission, cache probes, coalescing and batch
-//! formation run concurrently across replicas.
+//! Admission and cache probes run concurrently across replicas.
+//! Replicas serialise on the core's exec lock for batch formation and
+//! the cluster round-trip: a dispatcher forms its batch only once it
+//! holds the cluster, from everything its replica queued meanwhile.
 
-use super::shared::{degrade, perform_commit, take_commit_request, SharedCore};
+use super::shared::{degrade, perform_commit, take_commit_request, ExecCtx, SharedCore};
 use super::{lock, wait, QueryTicket, ServiceError};
 use crate::engine::{BatchResult, EngineError, FaultInjection};
 use crate::query::{KhopQuery, QueryResult};
@@ -290,83 +291,98 @@ pub(super) fn submit(
     Ok(QueryTicket { rx, deadline })
 }
 
-/// What the dispatcher's wait loop decided to do next.
-enum Step {
-    /// An epoch commit is due — run it (any replica's dispatcher may).
+/// What the dispatcher's wait loop found due.
+enum Due {
+    /// An epoch commit was requested (any replica's dispatcher may run
+    /// it).
     Commit,
-    /// A batch formed under the state lock — execute it.
-    Batch(FormedBatch),
+    /// The queue filled, its oldest traversal waited
+    /// `max_batch_delay`, or the replica is draining after shutdown.
+    Batch,
     /// Closed and drained — leave the loop (unless a late commit
     /// request slipped in; see [`exit_replica`]).
     Exit,
 }
 
-/// The dispatcher: block for work, pack a batch under the
-/// fill-or-deadline policy, execute it on the shared persistent
-/// cluster, fan results back out to tickets. Epoch commits run here
-/// too — under the core's exec lock, strictly *between* batches
-/// group-wide. Exits once this replica is closed *and* drained
-/// (queries and pending commits).
+/// Blocks under the replica's state lock until a commit or a batch is
+/// due (fill-or-deadline), or the replica is closed and drained. Forms
+/// nothing: the batch is formed later, once the cluster is free.
+fn wait_until_due(core: &SharedCore, replica: &Replica) -> Due {
+    let mut st = lock(&replica.state);
+    loop {
+        // A due commit goes first: queued traversals are keyed (and
+        // executed) under the *new* epoch once it lands.
+        if lock(&core.pending).requested {
+            return Due::Commit;
+        }
+        if st.queue.is_empty() {
+            if st.closed {
+                return Due::Exit;
+            }
+            st = wait(&replica.work, st);
+            continue;
+        }
+        if st.queue.len() >= core.lanes || st.closed {
+            return Due::Batch;
+        }
+        let age = st.queue.front().expect("non-empty").submitted.elapsed();
+        if age >= core.config.max_batch_delay {
+            return Due::Batch;
+        }
+        let (g, _) = replica
+            .work
+            .wait_timeout(st, core.config.max_batch_delay - age)
+            .unwrap_or_else(|e| e.into_inner());
+        st = g;
+    }
+}
+
+/// The dispatcher: wait until a batch is due, take the core's exec
+/// lock, and only then form the batch from everything queued at that
+/// moment, up to [`SharedCore::lanes`] — a replica waiting for a
+/// sibling's batch keeps filling its own instead of freezing it at the
+/// size it had when it fell due. Epoch commits run here too, under the
+/// same exec lock, strictly *between* batches group-wide; a commit that
+/// fell due while the dispatcher waited for the cluster runs before its
+/// batch. Exits once this replica is closed *and* drained (queries and
+/// pending commits).
 pub(super) fn dispatch_loop(core: &SharedCore, replica: &Replica) {
     loop {
-        let step = {
+        let due = wait_until_due(core, replica);
+        if let Due::Exit = due {
+            if exit_replica(core) {
+                return;
+            }
+            // A commit request arrived after the queue drained — loop
+            // back and serve it before exiting.
+            continue;
+        }
+        let mut guard = lock(&core.exec);
+        let ctx = &mut *guard;
+        // Only the exec holder takes a commit request, so this check
+        // cannot race with another dispatcher clearing it.
+        if lock(&core.pending).requested {
+            run_commit(core, ctx);
+            continue;
+        }
+        if let Due::Commit = due {
+            // A sibling ran the commit first; re-check this queue.
+            continue;
+        }
+        let formed = {
             let mut st = lock(&replica.state);
-            loop {
-                // A due commit preempts batch formation: queued
-                // traversals are keyed (and executed) under the *new*
-                // epoch once the commit lands.
-                if lock(&core.pending).requested {
-                    break Step::Commit;
-                }
-                if st.queue.is_empty() {
-                    if st.closed {
-                        break Step::Exit;
-                    }
-                    st = wait(&replica.work, st);
-                    continue;
-                }
-                if st.queue.len() >= core.lanes || st.closed {
-                    // Filled (or draining after shutdown).
-                } else {
-                    let age = st.queue.front().expect("non-empty").submitted.elapsed();
-                    if age < core.config.max_batch_delay {
-                        let (g, _) = replica
-                            .work
-                            .wait_timeout(st, core.config.max_batch_delay - age)
-                            .unwrap_or_else(|e| e.into_inner());
-                        st = g;
-                        continue;
-                    }
-                    // Deadline: flush the partial batch.
-                }
-                let formed = form_batch(core, replica, &mut st);
-                publish_depth(core, &mut st);
-                replica.space.notify_all();
-                break Step::Batch(formed);
-            }
-        };
-        let formed = match step {
-            Step::Commit => {
-                run_commit(core);
-                continue;
-            }
-            Step::Exit => {
-                if exit_replica(core) {
-                    return;
-                }
-                // A commit request arrived after the queue drained —
-                // loop back and serve it before exiting.
-                continue;
-            }
-            Step::Batch(formed) => formed,
+            let formed = form_batch(core, replica, &mut st);
+            publish_depth(core, &mut st);
+            replica.space.notify_all();
+            formed
         };
         for t in formed.expired {
             complete_traversal(core, &t.ticket, Err(ServiceError::DeadlineExceeded));
         }
         if let Some(o) = &core.obs {
             let seq_now = core.batch_seq.load(Ordering::SeqCst);
-            if !formed.hits.is_empty() {
-                o.tracer.instant("cache_hit", o.ctx(seq_now, 0), formed.hits.len() as u64);
+            if formed.cache_hits > 0 {
+                o.tracer.instant("cache_hit", o.ctx(seq_now, 0), formed.cache_hits as u64);
             }
             if replica.plane.cache.is_some() && !formed.groups.is_empty() {
                 // The lanes actually dispatched are the misses that
@@ -374,34 +390,24 @@ pub(super) fn dispatch_loop(core: &SharedCore, replica: &Replica) {
                 o.tracer.instant("cache_miss", o.ctx(seq_now, 0), formed.groups.len() as u64);
             }
         }
-        for (t, v) in formed.hits {
+        for (t, visited, per_level) in formed.answered {
             let wait = t.submitted.elapsed();
             complete_traversal(
                 core,
                 &t.ticket,
-                Ok((v.visited, v.per_level, wait, Duration::ZERO, formed.epoch)),
-            );
-        }
-        for (t, ans) in formed.index_hits {
-            let wait = t.submitted.elapsed();
-            complete_traversal(
-                core,
-                &t.ticket,
-                Ok((ans.visited, ans.per_level, wait, Duration::ZERO, formed.epoch)),
+                Ok((visited, per_level, wait, Duration::ZERO, formed.epoch)),
             );
         }
         if !formed.groups.is_empty() {
-            execute_batch(core, replica, formed.groups);
+            execute_batch(core, replica, ctx, formed.groups);
         }
     }
 }
 
-/// Runs a due epoch commit under the exec lock (the group-wide
-/// quiesce) and the stats fence. Idempotent across racing dispatchers:
-/// [`take_commit_request`] hands the batch to exactly one.
-fn run_commit(core: &SharedCore) {
-    let mut guard = lock(&core.exec);
-    let ctx = &mut *guard;
+/// Runs the due epoch commit under the caller's exec lock (the
+/// group-wide quiesce) and the stats fence. [`take_commit_request`]
+/// hands the request to exactly one dispatcher.
+fn run_commit(core: &SharedCore, ctx: &mut ExecCtx) {
     let _gate = lock(&core.stats_gate);
     let next_epoch = ctx.engine.graph_epoch() + 1;
     if let Some((updates, waiters, wal_seq)) = take_commit_request(core, next_epoch) {
@@ -446,76 +452,58 @@ fn exit_replica(core: &SharedCore) -> bool {
 struct FormedBatch {
     /// Lanes to execute (primary + identical-key followers each).
     groups: Vec<LaneGroup>,
-    /// Traversals answered by the result cache at pack time (their key
-    /// was committed by an earlier batch while they sat queued).
-    hits: Vec<(Traversal, CachedTraversal)>,
-    /// Traversals answered by the reachability index at pack time
-    /// (admitted before the current index existed — e.g. across an
-    /// epoch commit that rebuilt it).
-    index_hits: Vec<(Traversal, crate::index_api::IndexAnswer)>,
+    /// `(traversal, visited, per_level)` of every traversal answered at
+    /// pack time by the result cache or the reachability index.
+    answered: Vec<(Traversal, u64, Vec<u64>)>,
+    /// How many of `answered` the result cache answered.
+    cache_hits: usize,
     /// Traversals whose query deadline elapsed while queued.
     expired: Vec<Traversal>,
-    /// Graph epoch the batch was formed under — its admission epoch.
-    /// A cross-replica commit may land between formation and the exec
-    /// lock; [`execute_batch`] re-reads the epoch under that lock and
-    /// keys results to what it actually ran against.
+    /// Graph epoch the batch was formed (and, under the same exec
+    /// lock, executed) under.
     epoch: u64,
 }
 
-/// Forms one batch under the state lock: sweeps the queue against the
-/// result cache, selects up to [`SharedCore::lanes`] distinct keys
-/// (FIFO or locality-packed), collapses identical-key duplicates into
-/// followers, and — with coalescing on — registers every selected key
-/// as in flight so late arrivals can attach mid-batch.
+/// Forms one batch under the exec and state locks: sweeps the queue
+/// against the result cache and index, selects up to
+/// [`SharedCore::lanes`] distinct keys (FIFO or locality-packed),
+/// collapses identical-key duplicates into followers, and — with
+/// coalescing on — registers every selected key as in flight so late
+/// arrivals can attach mid-batch.
 fn form_batch(core: &SharedCore, replica: &Replica, st: &mut QueueState) -> FormedBatch {
     let epoch = core.epoch.load(Ordering::SeqCst);
 
-    // 1. Cache sweep: keys committed since these traversals were
-    // admitted are answered now, before they cost a lane. The whole
-    // queue is swept, not just this batch's window — a hit behind the
-    // window frees queue space all the same.
-    let mut hits = Vec::new();
-    if let Some(cm) = &replica.plane.cache {
-        let mut c = lock(cm);
-        let mut i = 0;
-        while i < st.queue.len() {
-            let key = st.queue[i].key(epoch);
-            if let Some(v) = c.get(&key) {
-                let v = v.clone();
-                let t = st.queue.remove(i).expect("index in range");
-                hits.push((t, v));
-            } else {
-                i += 1;
-            }
-        }
-        if !hits.is_empty() {
-            lock(&core.metrics).cache_hits += hits.len() as u64;
-            if let Some(o) = &core.obs {
-                o.cache_hits.add(hits.len() as u64);
-            }
+    // 1. Answer sweep: a traversal whose key an earlier batch committed
+    // to the result cache, or that the current-epoch index covers
+    // (admitted before that index was rebuilt at a commit), is answered
+    // now, before it costs a lane. The whole queue is swept, not just
+    // this batch's window — an answer behind the window frees queue
+    // space all the same.
+    let index = core.current_index(epoch);
+    let mut cache = replica.plane.cache.as_ref().map(|cm| lock(cm));
+    let (mut answered, mut cache_hits) = (Vec::new(), 0usize);
+    let mut kept = VecDeque::with_capacity(st.queue.len());
+    for t in st.queue.drain(..) {
+        if let Some(v) = cache.as_mut().and_then(|c| c.get(&t.key(epoch)).cloned()) {
+            cache_hits += 1;
+            answered.push((t, v.visited, v.per_level));
+        } else if let Some(a) = index.as_ref().and_then(|ix| ix.answer(t.source, t.k)) {
+            answered.push((t, a.visited, a.per_level));
+        } else {
+            kept.push_back(t);
         }
     }
-
-    // 1b. Index sweep: same shape as the cache sweep, against the
-    // current-epoch reachability index. Catches traversals admitted
-    // before this index existed (it is rebuilt at every commit).
-    let mut index_hits = Vec::new();
-    if let Some(ix) = core.current_index(epoch) {
-        let mut i = 0;
-        while i < st.queue.len() {
-            match ix.answer(st.queue[i].source, st.queue[i].k) {
-                Some(ans) => {
-                    let t = st.queue.remove(i).expect("index in range");
-                    index_hits.push((t, ans));
-                }
-                None => i += 1,
-            }
-        }
-        if !index_hits.is_empty() {
-            lock(&core.metrics).index_only += index_hits.len() as u64;
-            if let Some(o) = &core.obs {
-                o.index_only_answers.add(index_hits.len() as u64);
-            }
+    drop(cache);
+    st.queue = kept;
+    let index_hits = (answered.len() - cache_hits) as u64;
+    if !answered.is_empty() {
+        let mut m = lock(&core.metrics);
+        m.cache_hits += cache_hits as u64;
+        m.index_only += index_hits;
+        drop(m);
+        if let Some(o) = &core.obs {
+            o.cache_hits.add(cache_hits as u64);
+            o.index_only_answers.add(index_hits);
         }
     }
 
@@ -627,7 +615,7 @@ fn form_batch(core: &SharedCore, replica: &Replica, st: &mut QueueState) -> Form
         t.skips = t.skips.saturating_add(1);
     }
 
-    FormedBatch { groups, hits, index_hits, expired, epoch }
+    FormedBatch { groups, answered, cache_hits, expired, epoch }
 }
 
 /// Exponential backoff with deterministic jitter (splitmix64 of the
@@ -655,16 +643,12 @@ pub(super) fn backoff_delay_for_test(base: Duration, retry: u32, job: u64) -> Du
     backoff_delay(base, retry, job)
 }
 
-/// Executes one formed batch on the shared cluster, under the core's
+/// Executes one formed batch on the shared cluster under the caller's
 /// exec lock — the group-wide mutual exclusion between batches,
-/// commits and degradations. The epoch is re-read under the lock: a
-/// cross-replica commit may have landed since formation, in which case
-/// the batch runs against (and its results are keyed and labelled
-/// with) the *new* snapshot — never a stale one.
-fn execute_batch(core: &SharedCore, replica: &Replica, groups: Vec<LaneGroup>) {
-    let mut guard = lock(&core.exec);
-    let ctx = &mut *guard;
-    let exec_epoch = ctx.engine.graph_epoch();
+/// commits and degradations. The batch was formed under the same lock,
+/// so it runs against (and its results are keyed and labelled with) the
+/// epoch it was formed at.
+fn execute_batch(core: &SharedCore, replica: &Replica, ctx: &mut ExecCtx, groups: Vec<LaneGroup>) {
     let job = core.batch_seq.fetch_add(1, Ordering::SeqCst);
 
     let sources: Vec<u64> = groups.iter().map(|g| g.primary.source).collect();
@@ -673,26 +657,6 @@ fn execute_batch(core: &SharedCore, replica: &Replica, groups: Vec<LaneGroup>) {
     if let Some(o) = &core.obs {
         o.batch_lanes.observe(groups.len() as f64);
         o.tracer.instant("batch_dispatch", o.ctx(job, 0), groups.len() as u64);
-    }
-
-    // Legacy seam: an installed fault hook runs the old single-shot,
-    // non-recoverable path with its original semantics.
-    #[allow(deprecated)]
-    if let Some(hook) = core.config.fault_hook.as_ref() {
-        let dispatched = Instant::now();
-        let hook = Some(&**hook as &(dyn Fn(usize) + Sync));
-        match ctx.engine.run_traversal_batch_on_hooked(&ctx.cluster, &sources, &ks, hook) {
-            Ok(br) => {
-                lock(&core.metrics).batches += 1;
-                if let Some(o) = &core.obs {
-                    o.batches_dispatched.inc();
-                }
-                let engine = Arc::clone(&ctx.engine);
-                commit_batch(core, replica, groups, &br, dispatched, job, 0, exec_epoch, &engine);
-            }
-            Err(e) => fail_groups(core, replica, groups, &e),
-        }
-        return;
     }
 
     // Index pruning: lanes whose source the current-epoch index
@@ -747,10 +711,7 @@ fn execute_batch(core: &SharedCore, replica: &Replica, groups: Vec<LaneGroup>) {
                     o.index_pruned_partitions.add(br.pruned_partitions);
                     o.tracer.instant("batch_done", o.ctx(job, retry), br.supersteps as u64);
                 }
-                let engine = Arc::clone(&ctx.engine);
-                commit_batch(
-                    core, replica, groups, &br, dispatched, job, retry, exec_epoch, &engine,
-                );
+                commit_batch(core, replica, ctx, groups, &br, dispatched, job, retry);
                 return;
             }
             Err(e) => {
@@ -796,21 +757,21 @@ fn execute_batch(core: &SharedCore, replica: &Replica, groups: Vec<LaneGroup>) {
 /// or degraded attempts never reach here with partial state), drains
 /// coalesced mid-flight waiters, and fans the result out to every
 /// member of every lane group. Runs under the exec lock (the caller
-/// holds it), so `exec_epoch` is *the* current epoch for the whole
-/// body — results enter the cache keyed to the snapshot they actually
-/// ran against, and no commit can fence the cache mid-insert.
+/// holds `ctx`), so the engine's epoch is *the* current epoch for the
+/// whole body — results enter the cache keyed to the snapshot they
+/// actually ran against, and no commit can fence the cache mid-insert.
 #[allow(clippy::too_many_arguments)]
 fn commit_batch(
     core: &SharedCore,
     replica: &Replica,
+    ctx: &ExecCtx,
     mut groups: Vec<LaneGroup>,
     br: &BatchResult,
     dispatched: Instant,
     job: u64,
     retry: u32,
-    exec_epoch: u64,
-    engine: &crate::engine::DistributedEngine,
 ) {
+    let exec_epoch = ctx.engine.graph_epoch();
     if let Some(cm) = &replica.plane.cache {
         // The stats fence: insertion counters and cache occupancy move
         // together, so a stats snapshot never sees one without the
@@ -821,16 +782,17 @@ fn commit_batch(
         let (entries, bytes) = {
             let mut c = lock(cm);
             for (lane, g) in groups.iter().enumerate() {
-                let key = CacheKey { source: g.key.source, k: g.key.k, epoch: exec_epoch };
                 let mut per_level: Vec<u64> = br.per_level.iter().map(|row| row[lane]).collect();
                 while per_level.last() == Some(&0) {
                     per_level.pop();
                 }
-                evicted += c
-                    .insert(key, CachedTraversal { visited: br.per_lane_visited[lane], per_level });
+                evicted += c.insert(
+                    g.key,
+                    CachedTraversal { visited: br.per_lane_visited[lane], per_level },
+                );
                 inserted += 1;
                 if let Some(h) = &core.heat {
-                    h.bump(replica.id, engine.partition().owner(g.key.source));
+                    h.bump(replica.id, ctx.engine.partition().owner(g.key.source));
                 }
             }
             (c.len() as i64, c.used_bytes() as i64)
@@ -856,10 +818,9 @@ fn commit_batch(
         }
     }
     if let Some(co) = &replica.plane.coalescer {
-        // Completion uses the *formed* key — the one in-flight waiters
-        // attached under. When a commit moved the epoch mid-flight,
-        // late attachers formed at the new epoch simply miss and
-        // re-queue for a fresh execution; nothing leaks across epochs.
+        // Completion uses the formed key — the one in-flight waiters
+        // attached under. No commit lands between formation and here
+        // (both run under the exec lock), so it is `exec_epoch`'s key.
         let mut co = lock(co);
         for g in &mut groups {
             g.followers.extend(co.complete(&g.key));

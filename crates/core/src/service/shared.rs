@@ -10,11 +10,14 @@
 //! per-replica state (admission queue, result cache, coalescer) and
 //! funnels execution and commits through here.
 //!
-//! Lock order (outermost first): `exec` → `stats_gate` → per-replica
-//! cache/coalescer → `pending` → `durability` → `index` → `metrics`.
-//! Replica `state` locks are taken without any of these held except on
-//! the submit path (state → cache/metrics), which never takes `exec`,
-//! `stats_gate` or `pending`.
+//! Lock order (outermost first): `exec` → replica `state` →
+//! `stats_gate` → per-replica cache/coalescer → `pending` →
+//! `durability` → `index` → `metrics`. The dispatch path takes `exec`,
+//! then its replica's `state` to form a batch, then the cache and
+//! coalescer; commits take `exec` → `stats_gate` → caches → `pending`
+//! without any `state`. The dispatcher's wait for a due batch and the
+//! submit path hold `state` (plus `pending`, cache or `metrics` inside
+//! it) but never `exec` or `stats_gate`.
 
 use super::obs::ServiceObs;
 use super::replica::Replica;
