@@ -4,10 +4,11 @@
 //! A W-wide batch shares every frontier-row scan across W queries
 //! instead of 64, so the edge-set rows scanned *per query* must fall
 //! monotonically as W grows; queries/s shows how much of that saving
-//! survives the wider per-row mask work.
+//! survives the wider per-row mask work. At W = 64 and W = 512 it also
+//! prints where each machine's time went, phase by phase.
 
 use cgraph_bench::*;
-use cgraph_core::{DistributedEngine, EngineConfig};
+use cgraph_core::{DistributedEngine, EngineConfig, PhaseTimes};
 use cgraph_gen::dataset_by_name;
 
 fn main() {
@@ -30,15 +31,22 @@ fn main() {
 
     let mut rows = Vec::new();
     let mut csv_rows = Vec::new();
+    let mut phase_rows = Vec::new();
     let mut prev_spq = f64::INFINITY;
     let mut monotone = true;
     for width in [64usize, 128, 256, 512] {
         eprintln!("[ablation] W = {width}...");
         let t0 = std::time::Instant::now();
         let mut scans = 0u64;
+        let mut phases = PhaseTimes::default();
+        let mut machine_batches = 0u32;
         for (cs, ck) in sources.chunks(width).zip(ks.chunks(width)) {
             let r = engine.run_traversal_batch(cs, ck).unwrap();
             scans += r.scans;
+            for p in &r.per_machine_phases {
+                phases.add(p);
+                machine_batches += 1;
+            }
         }
         let wall = t0.elapsed();
         let qps = queries as f64 / wall.as_secs_f64().max(1e-12);
@@ -59,11 +67,30 @@ fn main() {
             scans.to_string(),
             format!("{spq:.2}"),
         ]);
+        if width == 64 || width == 512 {
+            let ms = |d: std::time::Duration| format!("{:.3}", d.as_secs_f64() * 1e3);
+            let per = |d: std::time::Duration| ms(d / machine_batches.max(1));
+            phase_rows.push(vec![
+                width.to_string(),
+                per(phases.scan),
+                per(phases.exchange),
+                per(phases.barrier),
+                per(phases.absorb),
+                per(phases.advance),
+                per(phases.reduce),
+                per(phases.total()),
+            ]);
+        }
     }
     print_table(
         &format!("Lane-width ablation: {queries} x {k}-hop queries ({dataset})"),
         &["W", "wall", "queries/s", "rows scanned", "scans/query"],
         &rows,
+    );
+    print_table(
+        "Superstep phases: wall ms per machine per batch",
+        &["W", "scan", "exchange", "barrier", "absorb", "advance", "reduce", "sum"],
+        &phase_rows,
     );
     println!(
         "\nshape check: scans/query falls monotonically 64 -> 512 ({})",

@@ -19,19 +19,23 @@
 //! shared immutably, all mutable state is thread-local, and traffic is
 //! exchanged through the inbox/outbox fabric of Fig. 4/5.
 //!
-//! On the bit-frontier path each machine's remote task buffer is a
-//! dense outbox allocated once per batch beside its `BitFrontier`: a
-//! lane matrix with one row per remote vertex plus the list of rows
-//! touched this superstep. The scan ORs every remote edge's lane mask
-//! into its destination's row, with no hashing. One exchange step,
-//! shared by the plain and the recoverable worker, then drains the
-//! touched rows in sorted order and splits them at the partition
-//! boundaries, so every peer receives at most one vertex-sorted
-//! message per superstep and the send order is deterministic. The
-//! step applies the optional prune plan, appends the batch to the
+//! On the bit-frontier path every hot loop works on fixed-size
+//! `[u64; N]` lane rows, `N = W/64`: the batch workers and the replay
+//! are generic over `N`, instantiated once per batch by
+//! `with_lane_words!`, the one place a runtime width becomes a
+//! compile-time one. Each machine's remote task buffer is a dense
+//! outbox allocated once per batch beside its `BitFrontier`: one lane
+//! row per remote vertex. The scan splits each frontier row's ascending
+//! targets into the runs below, inside and above the local range and
+//! ORs the row into `next` or the outbox with no per-edge branch. One
+//! exchange step, shared by the plain and the recoverable worker, then
+//! sweeps the outbox in vertex order, so every peer receives at most
+//! one vertex-sorted [`FrontierBatch`] per superstep — vertex ids plus
+//! one flat vector of lane words — and the send order is deterministic.
+//! The step applies the optional prune plan, appends the batch to the
 //! recovery log when there is one, and sends it.
 
-use crate::bitfrontier::BitFrontier;
+use crate::bitfrontier::{lane_row, BitFrontier, FrontierBatch};
 use crate::config::{EngineConfig, UpdateMode};
 use crate::gas::Gas;
 use crate::index_api::PrunePlan;
@@ -53,10 +57,11 @@ use std::time::{Duration, Instant};
 /// Messages exchanged between machines.
 #[derive(Clone, Debug)]
 pub enum EngineMsg {
-    /// Batched remote frontier updates: `(global dst, lane mask)` —
-    /// the remote task buffer of the bit-frontier path. The mask width
-    /// is uniform per batch (every machine runs the same batch).
-    Frontier(Vec<(u64, LaneMask)>),
+    /// Batched remote frontier updates, one lane row per destination
+    /// vertex — the remote task buffer of the bit-frontier path. The
+    /// row width is uniform per batch (every machine runs the same
+    /// batch).
+    Frontier(FrontierBatch),
     /// Batched remote tasks `(global dst, depth)` — queue-based path.
     Task(Vec<(u64, u32)>),
     /// Partition-centric messages `(dst vertex, payload word)`.
@@ -69,9 +74,7 @@ impl WireSize for EngineMsg {
     fn wire_size(&self) -> usize {
         match self {
             // 8-byte vertex id + W/8 mask bytes per entry.
-            EngineMsg::Frontier(v) => {
-                v.first().map_or(0, |(_, m)| v.len() * (8 + 8 * m.words().len()))
-            }
+            EngineMsg::Frontier(b) => b.wire_bytes(),
             EngineMsg::Task(v) => v.len() * 12,
             EngineMsg::Pcm(v) => v.len() * 16,
             EngineMsg::Ranks(v) => v.len() * 16,
@@ -185,6 +188,9 @@ pub struct BatchResult {
     /// barrier waits. On a host with fewer cores than simulated
     /// machines this — not wall clock — is the scaling-relevant time.
     pub per_machine_busy: Vec<Duration>,
+    /// Per-machine wall-clock time in each superstep phase, over the
+    /// attempt that completed the batch.
+    pub per_machine_phases: Vec<PhaseTimes>,
     /// Cross-machine traffic.
     pub traffic: TrafficReport,
     /// Frontier entries (one `(vertex, lane-mask)` delivery each) the
@@ -194,6 +200,99 @@ pub struct BatchResult {
     /// `(superstep, partition)` frontier messages suppressed entirely
     /// — the skipped partition received nothing that superstep.
     pub pruned_partitions: u64,
+}
+
+/// Wall-clock time one machine spent in each phase of its bit-frontier
+/// supersteps. Bookkeeping between phases (fault points, tracing, lane
+/// completion) is charged to none, so the sum stays within the
+/// machine's share of the batch.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct PhaseTimes {
+    /// Edge-set scan, including the hop-budget mask and the outbox
+    /// pushes.
+    pub scan: Duration,
+    /// Outbox sweep, prune filter, recovery log and sends.
+    pub exchange: Duration,
+    /// The barrier that ends message delivery.
+    pub barrier: Duration,
+    /// Draining the inbox into `next`.
+    pub absorb: Duration,
+    /// Promoting `next` to the frontier and counting new lanes.
+    pub advance: Duration,
+    /// The barrier that reduces the active lanes across machines.
+    pub reduce: Duration,
+}
+
+impl PhaseTimes {
+    /// The six phases summed.
+    pub fn total(&self) -> Duration {
+        self.scan + self.exchange + self.barrier + self.absorb + self.advance + self.reduce
+    }
+
+    /// Adds `other` phase by phase.
+    pub fn add(&mut self, other: &PhaseTimes) {
+        self.scan += other.scan;
+        self.exchange += other.exchange;
+        self.barrier += other.barrier;
+        self.absorb += other.absorb;
+        self.advance += other.advance;
+        self.reduce += other.reduce;
+    }
+}
+
+/// A running clock that charges the time since its last lap to one
+/// phase accumulator.
+struct Lap(Instant);
+
+impl Lap {
+    fn start() -> Self {
+        Lap(Instant::now())
+    }
+
+    fn charge(&mut self, phase: &mut Duration) {
+        let now = Instant::now();
+        *phase += now - self.0;
+        self.0 = now;
+    }
+}
+
+/// The lanes of `ks` with hop budget left for the expansion out of
+/// `hop`.
+fn budget_mask(ks: &[u32], width: LaneWidth, hop: u32) -> LaneMask {
+    let mut m = LaneMask::zero(width);
+    for (lane, &k) in ks.iter().enumerate() {
+        if k > hop {
+            m.set(lane);
+        }
+    }
+    m
+}
+
+/// Evaluates `$body` with the const `$n` bound to `$width.words()` —
+/// the single dispatch from a batch's runtime width to the
+/// width-specialised superstep kernel.
+macro_rules! with_lane_words {
+    ($width:expr, $n:ident => $body:expr) => {
+        match $width.words() {
+            1 => {
+                const $n: usize = 1;
+                $body
+            }
+            2 => {
+                const $n: usize = 2;
+                $body
+            }
+            4 => {
+                const $n: usize = 4;
+                $body
+            }
+            8 => {
+                const $n: usize = 8;
+                $body
+            }
+            words => unreachable!("unsupported lane word count {words}"),
+        }
+    };
 }
 
 impl BatchResult {
@@ -401,12 +500,15 @@ impl WorkerObs {
 /// One machine's private output from a bit-frontier batch, merged by
 /// [`DistributedEngine::stitch_batch`].
 struct MachineOut {
+    /// `per_level_local[h][lane]`: local vertices first reached at hop
+    /// `h + 1`. With the source's seed, their column sums are the
+    /// lane's local visited count.
     per_level_local: Vec<Vec<u64>>,
-    visited_local: Vec<u64>,
     lane_completion: Vec<Duration>,
     supersteps: u32,
     scans: u64,
     busy: Duration,
+    phases: PhaseTimes,
     /// `(probe index, lane, level)` first-visit observations for the
     /// probe vertices local to this machine (index construction).
     probe_levels: Vec<(u32, u32, u32)>,
@@ -854,6 +956,21 @@ impl DistributedEngine {
         probes: Option<&[VertexId]>,
         h: CommHandle<EngineMsg>,
     ) -> MachineOut {
+        with_lane_words!(LaneWidth::for_lanes(sources.len()), N => {
+            self.batch_worker_n::<N>(sources, ks, hook, prune, probes, h)
+        })
+    }
+
+    /// [`DistributedEngine::batch_worker`] at `N` lane words per row.
+    fn batch_worker_n<const N: usize>(
+        &self,
+        sources: &[VertexId],
+        ks: &[u32],
+        hook: Option<&(dyn Fn(usize) + Sync)>,
+        prune: Option<&PrunePlan>,
+        probes: Option<&[VertexId]>,
+        h: CommHandle<EngineMsg>,
+    ) -> MachineOut {
         if let Some(hook) = hook {
             hook(h.id());
         }
@@ -862,125 +979,120 @@ impl DistributedEngine {
         let lanes = sources.len();
         let width = LaneWidth::for_lanes(lanes);
         let all_lanes = LaneMask::all(lanes);
-        // Lanes with hop budget left for the expansion out of `hop`.
-        let budget_mask = |hop: u32| {
-            let mut m = LaneMask::zero(width);
-            for (lane, &k) in ks.iter().enumerate() {
-                if k > hop {
-                    m.set(lane);
-                }
+        let budget = |hop: u32| budget_mask(ks, width, hop);
+        let shard = &self.shards[h.id()];
+        let delta = self.delta(h.id());
+        let t0 = Instant::now();
+        let mut bf = BitFrontier::<N>::new(shard, lanes);
+        for (lane, &src) in sources.iter().enumerate() {
+            if shard.is_local(src) {
+                bf.seed(src, lane);
             }
-            m
-        };
-        {
-            let shard = &self.shards[h.id()];
-            let delta = self.delta(h.id());
-            let t0 = Instant::now();
-            let mut bf = BitFrontier::new(shard, lanes);
+        }
+        // Probe bookkeeping: the probes this machine owns, plus
+        // seed-level observations (a probe that *is* a source is
+        // first visited at level 0, before any advance runs).
+        let local_probes: Vec<(u32, VertexId)> = probes
+            .map(|ps| {
+                ps.iter()
+                    .enumerate()
+                    .filter(|&(_, &v)| shard.is_local(v))
+                    .map(|(i, &v)| (i as u32, v))
+                    .collect()
+            })
+            .unwrap_or_default();
+        let mut probe_levels: Vec<(u32, u32, u32)> = Vec::new();
+        for &(pi, v) in &local_probes {
             for (lane, &src) in sources.iter().enumerate() {
-                if shard.is_local(src) {
-                    bf.seed(src, lane);
+                if src == v {
+                    probe_levels.push((pi, lane as u32, 0));
                 }
             }
-            // Probe bookkeeping: the probes this machine owns, plus
-            // seed-level observations (a probe that *is* a source is
-            // first visited at level 0, before any advance runs).
-            let local_probes: Vec<(u32, VertexId)> = probes
-                .map(|ps| {
-                    ps.iter()
-                        .enumerate()
-                        .filter(|&(_, &v)| shard.is_local(v))
-                        .map(|(i, &v)| (i as u32, v))
-                        .collect()
-                })
-                .unwrap_or_default();
-            let mut probe_levels: Vec<(u32, u32, u32)> = Vec::new();
+        }
+        let mut per_level_local: Vec<Vec<u64>> = Vec::new();
+        let mut lane_completion = vec![Duration::ZERO; lanes];
+        let mut completed = LaneMask::zero(width); // lanes recorded complete
+        let mut outbox = Outbox::<N>::new(self.num_vertices(), shard.local_range());
+        let cpu0 = cgraph_comm::thread_cpu_time();
+        let mut hop: u32 = 0;
+        let mut supersteps = 0u32;
+        let mut scans = 0u64;
+        let mut pruned_sends = 0u64;
+        let mut pruned_partitions = 0u64;
+        let mut phases = PhaseTimes::default();
+        loop {
+            // Chaos seam: a plan can schedule this machine's death
+            // at superstep `hop`. Free without an armed plan.
+            h.fault_point(hop);
+            if let Some(w) = &wobs {
+                w.superstep_enter(hop);
+            }
+            let mut lap = Lap::start();
+            bf.mask_frontier(&budget(hop));
+            scans += bf.scan(shard, delta, Some(&mut outbox));
+            lap.charge(&mut phases.scan);
+            let (sends, partitions) = self.exchange(&mut outbox, hop, prune, None, &h);
+            pruned_sends += sends;
+            pruned_partitions += partitions;
+            lap.charge(&mut phases.exchange);
+            h.barrier();
+            lap.charge(&mut phases.barrier);
+            for env in h.drain() {
+                if let EngineMsg::Frontier(batch) = env.payload {
+                    bf.absorb(&batch);
+                }
+            }
+            lap.charge(&mut phases.absorb);
+            let adv = bf.advance();
+            per_level_local.push(adv.new_per_lane[..lanes].to_vec());
+            // The post-advance frontier is exactly the set of
+            // (vertex, lane) first visits at level `hop + 1` —
+            // read the probes' rows before the level counter moves.
             for &(pi, v) in &local_probes {
-                for (lane, &src) in sources.iter().enumerate() {
-                    if src == v {
-                        probe_levels.push((pi, lane as u32, 0));
+                let m = bf.frontier_mask(v);
+                for lane in m.iter_ones() {
+                    if lane < lanes {
+                        probe_levels.push((pi, lane as u32, hop + 1));
                     }
                 }
             }
-            let mut per_level_local: Vec<Vec<u64>> = Vec::new();
-            let mut lane_completion = vec![Duration::ZERO; lanes];
-            let mut completed = LaneMask::zero(width); // lanes recorded complete
-            let mut outbox = Outbox::new(self.num_vertices(), shard.local_range(), width);
-            let cpu0 = cgraph_comm::thread_cpu_time();
-            let mut hop: u32 = 0;
-            let mut supersteps = 0u32;
-            let mut scans = 0u64;
-            let mut pruned_sends = 0u64;
-            let mut pruned_partitions = 0u64;
-            loop {
-                // Chaos seam: a plan can schedule this machine's death
-                // at superstep `hop`. Free without an armed plan.
-                h.fault_point(hop);
-                if let Some(w) = &wobs {
-                    w.superstep_enter(hop);
-                }
-                bf.mask_frontier(&budget_mask(hop));
+            lap.charge(&mut phases.advance);
+            if let Some(w) = &wobs {
+                w.superstep_exit(hop, adv.new_per_lane[..lanes].iter().sum());
+            }
+            supersteps += 1;
+            hop += 1;
 
-                scans += bf.scan(shard, delta, |t, w| outbox.push(t, w));
-                let (sends, partitions) = self.exchange(&mut outbox, hop, prune, None, &h);
-                pruned_sends += sends;
-                pruned_partitions += partitions;
-                h.barrier();
-                for env in h.drain() {
-                    if let EngineMsg::Frontier(batch) = env.payload {
-                        for (v, w) in batch {
-                            bf.absorb(v, &w);
-                        }
-                    }
+            let mut lap = Lap::start();
+            let global_active = LaneMask::from_words(
+                &h.barrier_reduce_words(adv.active_lanes.raw())[..width.words()],
+            );
+            lap.charge(&mut phases.reduce);
+            // Next expansion only serves lanes with hop budget left.
+            let live = global_active.and(&budget(hop)).and(&all_lanes);
+            // Record completion for lanes that just went quiet.
+            let newly_done = all_lanes.and_not(&live).and_not(&completed);
+            if !newly_done.is_zero() {
+                let now = t0.elapsed();
+                for lane in newly_done.iter_ones() {
+                    lane_completion[lane] = now;
                 }
-                let adv = bf.advance();
-                per_level_local.push(adv.new_per_lane[..lanes].to_vec());
-                // The post-advance frontier is exactly the set of
-                // (vertex, lane) first visits at level `hop + 1` —
-                // read the probes' rows before the level counter moves.
-                for &(pi, v) in &local_probes {
-                    let m = bf.frontier_mask(v);
-                    for lane in m.iter_ones() {
-                        if lane < lanes {
-                            probe_levels.push((pi, lane as u32, hop + 1));
-                        }
-                    }
-                }
-                if let Some(w) = &wobs {
-                    w.superstep_exit(hop, adv.new_per_lane[..lanes].iter().sum());
-                }
-                supersteps += 1;
-                hop += 1;
-
-                let global_active = LaneMask::from_words(
-                    &h.barrier_reduce_words(adv.active_lanes.raw())[..width.words()],
-                );
-                // Next expansion only serves lanes with hop budget left.
-                let live = global_active.and(&budget_mask(hop)).and(&all_lanes);
-                // Record completion for lanes that just went quiet.
-                let newly_done = all_lanes.and_not(&live).and_not(&completed);
-                if !newly_done.is_zero() {
-                    let now = t0.elapsed();
-                    for lane in newly_done.iter_ones() {
-                        lane_completion[lane] = now;
-                    }
-                    completed.or_assign(&newly_done);
-                }
-                if live.is_zero() {
-                    break;
-                }
+                completed.or_assign(&newly_done);
             }
-            MachineOut {
-                per_level_local,
-                visited_local: bf.visited_per_lane()[..lanes].to_vec(),
-                lane_completion,
-                supersteps,
-                scans,
-                busy: cgraph_comm::thread_cpu_time() - cpu0,
-                probe_levels,
-                pruned_sends,
-                pruned_partitions,
+            if live.is_zero() {
+                break;
             }
+        }
+        MachineOut {
+            per_level_local,
+            lane_completion,
+            supersteps,
+            scans,
+            busy: cgraph_comm::thread_cpu_time() - cpu0,
+            phases,
+            probe_levels,
+            pruned_sends,
+            pruned_partitions,
         }
     }
 
@@ -996,29 +1108,25 @@ impl DistributedEngine {
     /// what the original execution delivered (suppressed deliveries
     /// were state no-ops and are never re-created), and logging runs
     /// before sending so the log covers anything a replay could need.
-    fn exchange(
+    fn exchange<const N: usize>(
         &self,
-        outbox: &mut Outbox,
+        outbox: &mut Outbox<N>,
         hop: u32,
         prune: Option<&PrunePlan>,
         log: Option<&RecoveryStore>,
         h: &CommHandle<EngineMsg>,
     ) -> (u64, u64) {
-        let width = outbox.width();
-        let keep_masks = prune.map(|p| p.keep_masks(hop + 1, width));
+        let width = LaneWidth::new(64 * N).expect("N is a supported lane word count");
+        let keep_rows: Option<Vec<[u64; N]>> =
+            prune.map(|p| p.keep_masks(hop + 1, width).iter().map(lane_row).collect());
         let (mut pruned_sends, mut pruned_partitions) = (0u64, 0u64);
         outbox.drain(&self.partition, |m, mut batch| {
-            if let Some(keep) = &keep_masks {
-                let before = batch.len();
-                batch.retain_mut(|(_, w)| {
-                    *w = w.and(&keep[m]);
-                    !w.is_zero()
-                });
-                let dropped = (before - batch.len()) as u64;
+            if let Some(keep) = &keep_rows {
+                let dropped = batch.retain_lanes(&keep[m]) as u64;
                 if dropped > 0 {
                     pruned_sends += dropped;
                     pruned_partitions += u64::from(batch.is_empty());
-                    let bytes = dropped * (8 + 8 * width.words() as u64);
+                    let bytes = dropped * (8 + 8 * N as u64);
                     h.note_suppressed(u64::from(batch.is_empty()), bytes);
                 }
             }
@@ -1050,7 +1158,6 @@ impl DistributedEngine {
         // Level 0: sources — every source was range-checked by
         // `check_batch`, so each seeds exactly one shard.
         per_level[0][..lanes].fill(1);
-        let mut per_lane_visited = vec![0u64; lanes];
         // A lane completes when its *global* frontier empties; each
         // machine stamps the same boundary, but elapsed clocks differ,
         // so report the per-lane max — the last machine to notice.
@@ -1061,13 +1168,14 @@ impl DistributedEngine {
                     per_level[h + 1][lane] += c;
                 }
             }
-            for (lane, &c) in o.visited_local.iter().enumerate() {
-                per_lane_visited[lane] += c;
-            }
             for (lane, &d) in o.lane_completion.iter().enumerate() {
                 lane_completion[lane] = lane_completion[lane].max(d);
             }
         }
+        // Every vertex a lane reached was first reached at exactly one
+        // level on exactly one machine.
+        let per_lane_visited =
+            (0..lanes).map(|lane| per_level.iter().map(|row| row[lane]).sum()).collect();
         // Trim trailing all-zero levels (the final empty superstep).
         while per_level.len() > 1 && per_level.last().unwrap().iter().all(|&c| c == 0) {
             per_level.pop();
@@ -1081,6 +1189,7 @@ impl DistributedEngine {
             supersteps,
             exec_time,
             per_machine_busy: outs.iter().map(|o| o.busy).collect(),
+            per_machine_phases: outs.iter().map(|o| o.phases).collect(),
             traffic,
             pruned_sends: outs.iter().map(|o| o.pruned_sends).sum(),
             pruned_partitions: outs.iter().map(|o| o.pruned_partitions).sum(),
@@ -1335,7 +1444,7 @@ impl DistributedEngine {
     /// Replays partition `f` inline (on the coordinator thread) from
     /// `base` (its last committed checkpoint, or the seeded state) up
     /// to the `target` boundary, consuming the message logs in place
-    /// of live peers. Remote emissions are discarded — the original
+    /// of live peers. Remote emissions are skipped — the original
     /// execution already delivered them before the crash. Returns the
     /// reconstructed boundary snapshot and the supersteps replayed.
     #[allow(clippy::too_many_arguments)]
@@ -1349,10 +1458,27 @@ impl DistributedEngine {
         ks: &[u32],
         lanes: usize,
     ) -> (PartitionSnapshot, u64) {
+        with_lane_words!(LaneWidth::for_lanes(lanes), N => {
+            self.replay_partition_n::<N>(f, base, target, store, sources, ks, lanes)
+        })
+    }
+
+    /// [`DistributedEngine::replay_partition`] at `N` lane words per row.
+    #[allow(clippy::too_many_arguments)]
+    fn replay_partition_n<const N: usize>(
+        &self,
+        f: usize,
+        base: Option<PartitionSnapshot>,
+        target: u32,
+        store: &RecoveryStore,
+        sources: &[VertexId],
+        ks: &[u32],
+        lanes: usize,
+    ) -> (PartitionSnapshot, u64) {
         let width = LaneWidth::for_lanes(lanes);
         let all_lanes = LaneMask::all(lanes);
         let shard = &self.shards[f];
-        let mut bf = BitFrontier::new(shard, lanes);
+        let mut bf = BitFrontier::<N>::new(shard, lanes);
         let t0 = Instant::now();
         let cpu0 = cgraph_comm::thread_cpu_time();
         let (mut per_level_local, mut lane_completion, mut completed, from, busy) = match base {
@@ -1387,16 +1513,10 @@ impl DistributedEngine {
             }
         };
         for hop in from..target {
-            let mut k_mask = LaneMask::zero(width);
-            for (lane, &k) in ks.iter().enumerate() {
-                if k > hop {
-                    k_mask.set(lane);
-                }
-            }
-            bf.mask_frontier(&k_mask);
-            bf.scan(shard, self.delta(f), |_, _| {}); // peers already received these
-            for (v, w) in store.logged_to(f, hop) {
-                bf.absorb(v, &w);
+            bf.mask_frontier(&budget_mask(ks, width, hop));
+            bf.scan(shard, self.delta(f), None); // peers already received these
+            for batch in store.logged_to::<N>(f, hop) {
+                bf.absorb(&batch);
             }
             let adv = bf.advance();
             per_level_local.push(adv.new_per_lane[..lanes].to_vec());
@@ -1447,25 +1567,33 @@ impl DistributedEngine {
         prune: Option<&PrunePlan>,
         h: CommHandle<EngineMsg>,
     ) -> Option<MachineOut> {
+        with_lane_words!(LaneWidth::for_lanes(sources.len()), N => {
+            self.recoverable_worker_n::<N>(sources, ks, interval, store, prune, h)
+        })
+    }
+
+    /// [`DistributedEngine::recoverable_worker`] at `N` lane words per
+    /// row.
+    fn recoverable_worker_n<const N: usize>(
+        &self,
+        sources: &[VertexId],
+        ks: &[u32],
+        interval: u32,
+        store: &RecoveryStore,
+        prune: Option<&PrunePlan>,
+        h: CommHandle<EngineMsg>,
+    ) -> Option<MachineOut> {
         let prune = prune.filter(|p| !p.is_empty());
         let wobs = self.worker_obs(&h);
         let lanes = sources.len();
         let width = LaneWidth::for_lanes(lanes);
         let all_lanes = LaneMask::all(lanes);
-        let budget_mask = |hop: u32| {
-            let mut m = LaneMask::zero(width);
-            for (lane, &k) in ks.iter().enumerate() {
-                if k > hop {
-                    m.set(lane);
-                }
-            }
-            m
-        };
+        let budget = |hop: u32| budget_mask(ks, width, hop);
         let shard = &self.shards[h.id()];
         let delta = self.delta(h.id());
         let t0 = Instant::now();
         let cpu0 = cgraph_comm::thread_cpu_time();
-        let mut bf = BitFrontier::new(shard, lanes);
+        let mut bf = BitFrontier::<N>::new(shard, lanes);
         let (mut per_level_local, mut lane_completion, mut completed, mut hop, busy_base) =
             match store.take_resume(h.id()) {
                 Some(snap) => {
@@ -1501,7 +1629,7 @@ impl DistributedEngine {
                     )
                 }
             };
-        let snapshot = |bf: &BitFrontier,
+        let snapshot = |bf: &BitFrontier<N>,
                         boundary: u32,
                         per_level_local: &Vec<Vec<u64>>,
                         lane_completion: &Vec<Duration>,
@@ -1520,12 +1648,13 @@ impl DistributedEngine {
                 busy,
             }
         };
-        let mut outbox = Outbox::new(self.num_vertices(), shard.local_range(), width);
+        let mut outbox = Outbox::<N>::new(self.num_vertices(), shard.local_range());
         // Scan work this attempt only (a resume does not re-count the
         // scans its snapshot's supersteps already performed).
         let mut scans = 0u64;
         let mut pruned_sends = 0u64;
         let mut pruned_partitions = 0u64;
+        let mut phases = PhaseTimes::default();
         loop {
             // Boundary `hop`: commit *before* the fault point so that
             // a machine scripted to die at a commit boundary still
@@ -1552,11 +1681,14 @@ impl DistributedEngine {
             if let Some(w) = &wobs {
                 w.superstep_enter(hop);
             }
-            bf.mask_frontier(&budget_mask(hop));
-            scans += bf.scan(shard, delta, |t, w| outbox.push(t, w));
+            let mut lap = Lap::start();
+            bf.mask_frontier(&budget(hop));
+            scans += bf.scan(shard, delta, Some(&mut outbox));
+            lap.charge(&mut phases.scan);
             let (sends, partitions) = self.exchange(&mut outbox, hop, prune, Some(store), &h);
             pruned_sends += sends;
             pruned_partitions += partitions;
+            lap.charge(&mut phases.exchange);
             if h.try_barrier().is_err() {
                 // A peer died during this superstep. Our frontier and
                 // visited words still hold boundary `hop` (advance has
@@ -1579,18 +1711,20 @@ impl DistributedEngine {
                 );
                 return None;
             }
+            lap.charge(&mut phases.barrier);
             for env in h.drain() {
                 if let EngineMsg::Frontier(batch) = env.payload {
-                    for (v, w) in batch {
-                        bf.absorb(v, &w);
-                    }
+                    bf.absorb(&batch);
                 }
             }
+            lap.charge(&mut phases.absorb);
             let adv = bf.advance();
             per_level_local.push(adv.new_per_lane[..lanes].to_vec());
+            lap.charge(&mut phases.advance);
             if let Some(w) = &wobs {
                 w.superstep_exit(hop, adv.new_per_lane[..lanes].iter().sum());
             }
+            let mut lap = Lap::start();
             let reduced = match h.try_barrier_reduce_words(adv.active_lanes.raw()) {
                 Ok(words) => LaneMask::from_words(&words[..width.words()]),
                 Err(_) => {
@@ -1612,8 +1746,9 @@ impl DistributedEngine {
                     return None;
                 }
             };
+            lap.charge(&mut phases.reduce);
             hop += 1;
-            let live = reduced.and(&budget_mask(hop)).and(&all_lanes);
+            let live = reduced.and(&budget(hop)).and(&all_lanes);
             // All machines record the identical post-reduce mask, so a
             // later replay can reconstruct completion bookkeeping.
             store.record_live(hop, live);
@@ -1632,10 +1767,10 @@ impl DistributedEngine {
         Some(MachineOut {
             supersteps: per_level_local.len() as u32,
             per_level_local,
-            visited_local: bf.visited_per_lane()[..lanes].to_vec(),
             lane_completion,
             scans,
             busy: busy_base + (cgraph_comm::thread_cpu_time() - cpu0),
+            phases,
             probe_levels: Vec::new(),
             pruned_sends,
             pruned_partitions,
@@ -2347,6 +2482,42 @@ mod tests {
         assert_eq!(report.attempts, 1);
         assert_eq!(report.recoveries, 0);
         assert!(report.checkpoints_taken > 0, "long batch must commit checkpoints");
+    }
+
+    #[test]
+    fn phase_times_fit_within_the_batch() {
+        let g = cgraph_gen::graph500(9, 8, 12);
+        let mut b = cgraph_graph::GraphBuilder::new();
+        b.add_edge_list(&g);
+        let g = b.build().edges;
+        let e = engine(&g, 3);
+        let cluster = PersistentCluster::new(3);
+        let sources: Vec<u64> = (0..100).collect();
+        let ks = vec![3; sources.len()];
+        let plain = e.run_traversal_batch(&sources, &ks).unwrap();
+        let (rec, _) = e
+            .run_traversal_batch_recoverable(
+                &cluster,
+                &sources,
+                &ks,
+                &RecoveryConfig::default(),
+                None,
+            )
+            .unwrap();
+        for (path, r) in [("plain", &plain), ("recoverable", &rec)] {
+            assert_eq!(r.per_machine_phases.len(), 3, "{path}: one entry per machine");
+            for (m, phases) in r.per_machine_phases.iter().enumerate() {
+                assert!(
+                    phases.total() <= r.exec_time,
+                    "{path} machine {m}: phases {:?} exceed the batch's {:?}",
+                    phases.total(),
+                    r.exec_time
+                );
+                assert!(phases.scan > Duration::ZERO, "{path} machine {m} scanned");
+                assert!(phases.advance > Duration::ZERO, "{path} machine {m} advanced");
+            }
+        }
+        cluster.shutdown();
     }
 
     #[test]

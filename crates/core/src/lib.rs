@@ -63,7 +63,7 @@ pub use cgraph_graph::delta::{DeltaOverlay, EdgeUpdate, UpdateBatch};
 pub use config::{EngineConfig, UpdateMode};
 pub use durability::{DurabilityConfig, DurabilityError, DurabilityStats, RecoveryOutcome};
 pub use engine::{
-    BatchResult, DistributedEngine, EngineError, EngineMsg, FaultInjection, ProbedBatch,
+    BatchResult, DistributedEngine, EngineError, EngineMsg, FaultInjection, PhaseTimes, ProbedBatch,
 };
 pub use index_api::{IndexAnswer, IndexBuilder, IndexConfig, PrunePlan, ReachIndex};
 pub use metrics::ResponseStats;

@@ -17,10 +17,11 @@
 //! committed checkpoints (uniform across machines, gated on a
 //! drop-free job),
 //! poison-time saves from healthy machines, per-sender append-only
-//! message logs keyed `(superstep, dest)` whose entries are OR-merged
-//! per vertex when read back (so a resend is idempotent, which
-//! resumption requires), and the per-boundary global live-lane masks
-//! that replay needs for completion bookkeeping.
+//! message logs keyed `(superstep, dest)` that keep the sent
+//! [`FrontierBatch`]es as they are and OR-merge a sender's batches per
+//! vertex when read back (so a resend is idempotent, which resumption
+//! requires), and the per-boundary global live-lane masks that replay
+//! needs for completion bookkeeping.
 //!
 //! When confined recovery's preconditions fail — messages were
 //! dropped (logs record *intent*, not delivery), saves are missing, or
@@ -52,6 +53,7 @@
 //! cluster.shutdown();
 //! ```
 
+use crate::bitfrontier::FrontierBatch;
 use cgraph_graph::LaneMask;
 use parking_lot::Mutex;
 use std::collections::HashMap;
@@ -129,8 +131,8 @@ pub(crate) struct PartitionSnapshot {
 }
 
 /// One sender's message log: `(superstep, dest machine)` to every
-/// `(dst vertex, lane mask)` entry sent that superstep, in send order.
-type SenderLog = HashMap<(u32, usize), Vec<(u64, LaneMask)>>;
+/// batch sent that superstep, in send order.
+type SenderLog = HashMap<(u32, usize), Vec<FrontierBatch>>;
 
 /// Shared recovery blackboard for one batch execution (all attempts).
 pub(crate) struct RecoveryStore {
@@ -143,10 +145,10 @@ pub(crate) struct RecoveryStore {
     /// Poison-time saves: a healthy machine that notices a dead peer
     /// at a barrier parks its boundary state here and returns.
     saved: Vec<Mutex<Option<PartitionSnapshot>>>,
-    /// Per-sender message logs: `(superstep, dest) -> [(dst vertex,
-    /// lane mask)]`, appended to on the hot path and OR-merged per
-    /// vertex only when recovery reads them, so a resumed machine
-    /// re-logging the same superstep is idempotent.
+    /// Per-sender message logs: `(superstep, dest) -> [batch]`,
+    /// appended to on the hot path and OR-merged per vertex only when
+    /// recovery reads them, so a resumed machine re-logging the same
+    /// superstep is idempotent.
     logs: Vec<Mutex<SenderLog>>,
     /// Global live-lane mask agreed at each boundary (all machines
     /// write the identical post-reduce value).
@@ -205,39 +207,36 @@ impl RecoveryStore {
         self.saved[id].lock().take()
     }
 
-    /// Appends machine `from`'s outgoing messages for `superstep` to
-    /// its log. A resend appends again; [`RecoveryStore::logged_to`]
-    /// merges the copies, so logging is idempotent under resend.
+    /// Appends machine `from`'s outgoing batch for `superstep` to its
+    /// log. A resend appends again; [`RecoveryStore::logged_to`] merges
+    /// the copies, so logging is idempotent under resend.
     pub(crate) fn log_merge(
         &self,
         from: usize,
         superstep: u32,
         dest: usize,
-        batch: &[(u64, LaneMask)],
+        batch: &FrontierBatch,
     ) {
-        self.logs[from].lock().entry((superstep, dest)).or_default().extend_from_slice(batch);
+        self.logs[from].lock().entry((superstep, dest)).or_default().push(batch.clone());
     }
 
     /// Every message any machine logged to `dest` during `superstep`:
-    /// per sender, one entry per destination vertex, the OR of every
-    /// mask that sender logged for it (sorted by vertex).
-    pub(crate) fn logged_to(&self, dest: usize, superstep: u32) -> Vec<(u64, LaneMask)> {
+    /// one batch per sender that logged any, holding the OR of every
+    /// row that sender logged per vertex (sorted by vertex). `N` is the
+    /// batch's lane-word count.
+    pub(crate) fn logged_to<const N: usize>(
+        &self,
+        dest: usize,
+        superstep: u32,
+    ) -> Vec<FrontierBatch> {
         let mut out = Vec::new();
         for log in &self.logs {
-            let Some(mut entries) = log.lock().get(&(superstep, dest)).cloned() else {
+            let log = log.lock();
+            let Some((first, rest)) = log.get(&(superstep, dest)).and_then(|b| b.split_first())
+            else {
                 continue;
             };
-            // A single logged batch arrives sorted, so this run-detecting
-            // sort is one linear pass in the common case.
-            entries.sort_by_key(|&(v, _)| v);
-            entries.dedup_by(|later, kept| {
-                let same = later.0 == kept.0;
-                if same {
-                    kept.1.or_assign(&later.1);
-                }
-                same
-            });
-            out.extend(entries);
+            out.push(rest.iter().fold(first.clone(), |acc, b| acc.merge::<N>(b)));
         }
         out
     }
@@ -292,6 +291,23 @@ mod tests {
         LaneMask::from_words(&[word])
     }
 
+    /// The batch holding `entries`, which must ascend by vertex.
+    fn batch<const N: usize>(entries: &[(u64, LaneMask)]) -> FrontierBatch {
+        let mut b = FrontierBatch::default();
+        for (v, mask) in entries {
+            b.push::<N>(*v, &crate::bitfrontier::lane_row(mask));
+        }
+        b
+    }
+
+    /// Every `(vertex, mask)` entry of the batches, in order.
+    fn entries<const N: usize>(batches: Vec<FrontierBatch>) -> Vec<(u64, LaneMask)> {
+        batches
+            .iter()
+            .flat_map(|b| b.rows::<N>().map(|(v, r)| (v, LaneMask::from_words(r))))
+            .collect()
+    }
+
     /// Sorts by vertex then raw mask words for deterministic compare.
     fn sorted(mut v: Vec<(u64, LaneMask)>) -> Vec<(u64, LaneMask)> {
         v.sort_unstable_by_key(|&(vtx, w)| (vtx, w.raw()));
@@ -301,19 +317,25 @@ mod tests {
     #[test]
     fn log_merge_is_idempotent() {
         let store = RecoveryStore::new(2);
-        store.log_merge(0, 3, 1, &[(7, m(0b01)), (9, m(0b10))]);
+        store.log_merge(0, 3, 1, &batch::<1>(&[(7, m(0b01)), (9, m(0b10))]));
         // A resumed machine re-sends the same superstep's messages.
-        store.log_merge(0, 3, 1, &[(7, m(0b01)), (9, m(0b10))]);
-        assert_eq!(sorted(store.logged_to(1, 3)), vec![(7, m(0b01)), (9, m(0b10))]);
+        store.log_merge(0, 3, 1, &batch::<1>(&[(7, m(0b01)), (9, m(0b10))]));
+        assert_eq!(
+            sorted(entries::<1>(store.logged_to::<1>(1, 3))),
+            vec![(7, m(0b01)), (9, m(0b10))]
+        );
     }
 
     #[test]
     fn logs_aggregate_across_senders() {
         let store = RecoveryStore::new(3);
-        store.log_merge(0, 1, 2, &[(5, m(0b01))]);
-        store.log_merge(1, 1, 2, &[(5, m(0b10))]);
-        assert_eq!(sorted(store.logged_to(2, 1)), vec![(5, m(0b01)), (5, m(0b10))]);
-        assert!(store.logged_to(2, 2).is_empty());
+        store.log_merge(0, 1, 2, &batch::<1>(&[(5, m(0b01))]));
+        store.log_merge(1, 1, 2, &batch::<1>(&[(5, m(0b10))]));
+        assert_eq!(
+            sorted(entries::<1>(store.logged_to::<1>(2, 1))),
+            vec![(5, m(0b01)), (5, m(0b10))]
+        );
+        assert!(store.logged_to::<1>(2, 2).is_empty());
     }
 
     #[test]
@@ -323,9 +345,9 @@ mod tests {
         hi.set(100);
         let mut lo = LaneMask::zero(cgraph_graph::LaneWidth::new(128).unwrap());
         lo.set(3);
-        store.log_merge(0, 0, 0, &[(7, hi)]);
-        store.log_merge(0, 0, 0, &[(7, lo)]);
-        let got = store.logged_to(0, 0);
+        store.log_merge(0, 0, 0, &batch::<2>(&[(7, hi)]));
+        store.log_merge(0, 0, 0, &batch::<2>(&[(7, lo)]));
+        let got = entries::<2>(store.logged_to::<2>(0, 0));
         assert_eq!(got.len(), 1);
         assert!(got[0].1.get(3) && got[0].1.get(100));
     }
@@ -345,12 +367,12 @@ mod tests {
         store.commit(0, snap(2));
         store.save(0, snap(3));
         store.set_resume(0, snap(3));
-        store.log_merge(0, 2, 0, &[(1, m(1))]);
+        store.log_merge(0, 2, 0, &batch::<1>(&[(1, m(1))]));
         store.record_live(2, m(0b11));
         store.clear_execution_state();
         assert!(store.take_saved(0).is_none());
         assert!(store.take_resume(0).is_none());
-        assert!(store.logged_to(0, 2).is_empty());
+        assert!(store.logged_to::<1>(0, 2).is_empty());
         assert!(store.live_at(2).is_none());
         assert!(store.committed_clone(0).is_some());
     }

@@ -60,7 +60,9 @@ impl EdgeSet {
     }
 
     /// Out-neighbours of global source `v` that land in this tile's
-    /// column range. Empty if `v` is outside the row range.
+    /// column range, in ascending order (the bit-frontier scan splits
+    /// them at the local range with binary searches). Empty if `v` is
+    /// outside the row range.
     #[inline]
     pub fn neighbors(&self, v: VertexId) -> &[VertexId] {
         if !self.row_range.contains(v) {
@@ -105,7 +107,8 @@ impl EdgeSet {
     }
 
     /// Reassembles a tile from raw parts (inverse of
-    /// [`EdgeSet::raw_parts`]). Panics if the arrays are inconsistent.
+    /// [`EdgeSet::raw_parts`]). Panics if the arrays are inconsistent
+    /// or a row's targets are not ascending.
     pub fn from_raw_parts(
         row_range: VertexRange,
         col_range: VertexRange,
@@ -119,6 +122,12 @@ impl EdgeSet {
             *row_offsets.last().expect("non-empty offsets") as usize,
             targets.len(),
             "final offset must equal edge count"
+        );
+        assert!(
+            row_offsets
+                .windows(2)
+                .all(|r| { r[0] <= r[1] && targets[r[0] as usize..r[1] as usize].is_sorted() }),
+            "row targets must ascend"
         );
         Self { row_range, col_range, row_offsets, targets, weights }
     }
@@ -413,6 +422,36 @@ mod tests {
             l.push_pair(s, t);
         }
         (l, VertexRange::new(0, n))
+    }
+
+    #[test]
+    fn from_raw_parts_round_trips() {
+        let (l, span) = edges(6, &[(0, 5), (0, 1), (2, 3), (5, 0), (5, 2)]);
+        let g = EdgeSetGraph::flat(l.edges(), span, span);
+        let set = &g.sets()[0];
+        let (offsets, targets, weights) = set.raw_parts();
+        let back = EdgeSet::from_raw_parts(
+            set.row_range,
+            set.col_range,
+            offsets.to_vec(),
+            targets.to_vec(),
+            weights.to_vec(),
+        );
+        assert_eq!(back.neighbors(0), &[1, 5]);
+        assert_eq!(back.neighbors(5), &[0, 2]);
+    }
+
+    #[test]
+    #[should_panic(expected = "row targets must ascend")]
+    fn from_raw_parts_rejects_descending_row() {
+        // Row 1 lists targets 3 then 2.
+        EdgeSet::from_raw_parts(
+            VertexRange::new(0, 2),
+            VertexRange::new(0, 4),
+            vec![0, 1, 3],
+            vec![1, 3, 2],
+            vec![1.0; 3],
+        );
     }
 
     #[test]

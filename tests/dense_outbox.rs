@@ -6,7 +6,10 @@
 //! the recoverable batch, and the recoverable batch under a machine
 //! crash (whose confined replay reads the recovery log) must report the
 //! same `per_level` and `per_lane_visited` as the queue-based oracle,
-//! across p ∈ {1, 2, 3, 4} and batch widths W ∈ {64, 512}.
+//! across p ∈ {1, 2, 3, 4} and every batch width W ∈ {64, 128, 256,
+//! 512}. On a middle machine the overlay also deletes edges from rows
+//! whose remote targets lie both below and above its local range, the
+//! rows whose scan takes the per-edge delete check.
 
 use cgraph::prelude::*;
 use cgraph_comm::PersistentCluster;
@@ -56,6 +59,31 @@ fn cross_partition_updates(engine: &DistributedEngine, edges: &EdgeList) -> Vec<
     updates
 }
 
+/// Four sources on each machine strictly inside the partition order,
+/// each with remote targets both below and above its machine's range,
+/// paired with deletes of one target on each side (none for p < 3).
+fn split_row_deletes(engine: &DistributedEngine) -> (Vec<u64>, Vec<EdgeUpdate>) {
+    let part = engine.partition();
+    let (mut rows, mut deletes) = (Vec::new(), Vec::new());
+    for m in 1..part.num_partitions().saturating_sub(1) {
+        let shard = &engine.shards()[m];
+        let local = shard.local_range();
+        for v in local.iter() {
+            let ts = shard.out_neighbors(v);
+            let below = ts.iter().find(|&&t| t < local.start);
+            let above = ts.iter().find(|&&t| t >= local.end);
+            if let (Some(&b), Some(&a)) = (below, above) {
+                rows.push(v);
+                deletes.extend([EdgeUpdate::delete(v, b), EdgeUpdate::delete(v, a)]);
+                if rows.len() % 4 == 0 {
+                    break;
+                }
+            }
+        }
+    }
+    (rows, deletes)
+}
+
 /// Asserts every lane of `r` equals the queue-based oracle's answer.
 fn assert_matches_oracle(
     r: &BatchResult,
@@ -81,13 +109,23 @@ fn exchange_paths_match_queue_oracle_on_overlaid_graph() {
     let n = edges.num_vertices();
     for p in 1..=4usize {
         let base = DistributedEngine::new(&edges, EngineConfig::new(p));
-        let updates = cross_partition_updates(&base, &edges);
+        let mut updates = cross_partition_updates(&base, &edges);
+        let (split_rows, split_deletes) = split_row_deletes(&base);
+        assert_eq!(
+            split_rows.len(),
+            4 * p.saturating_sub(2),
+            "p={p}: split rows on middle machines"
+        );
+        updates.extend(split_deletes);
         let (engine, folded) = base.with_updates(&updates, usize::MAX);
         assert!(!folded && engine.has_delta(), "the overlay must stay unfolded");
         let cluster = PersistentCluster::new(p);
-        for lanes in [64usize, 512] {
+        for lanes in [64usize, 128, 256, 512] {
             let mut rng = Rng(0x5EED ^ (p * lanes) as u64);
-            let sources: Vec<u64> = (0..lanes).map(|_| rng.below(n)).collect();
+            let mut sources: Vec<u64> = (0..lanes).map(|_| rng.below(n)).collect();
+            // The split rows are sources, so their first scan runs with
+            // the overlay's deletes.
+            sources[..split_rows.len()].copy_from_slice(&split_rows);
             // Mostly short budgets, with a full BFS every 16th lane so
             // the batch runs long enough for checkpoints and a crash.
             let ks: Vec<u32> =
